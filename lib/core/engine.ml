@@ -156,14 +156,14 @@ let build ?(counted = false) cqap pmtd_list ~db ~budget =
 let build_auto ?counted ?max_pmtds cqap ~db ~budget =
   build ?counted cqap (Enum.pmtds ?max_pmtds cqap) ~db ~budget
 
-(* The online pipeline without observability wrapping: one 2PP online
-   pass per rule, T-views unioned per PMTD, Online Yannakakis per PMTD,
-   results unioned.  Returns the scoped online cost. *)
+(* The online pipeline without observability wrapping: every rule's 2PP
+   online pass streams into one per-call T-view table (one relation per
+   T-target), then Online Yannakakis per PMTD reads its T-views from
+   it; results unioned.  Returns the scoped online cost. *)
 let answer_scoped t ~q_a =
   Cost.scoped (fun () ->
-      let all_t_targets =
-        List.concat_map (fun s -> Twopp.online s ~q_a) t.structures
-      in
+      let views = Hashtbl.create 8 in
+      List.iter (fun s -> Twopp.online_into s ~q_a views) t.structures;
       let head = t.cqap.Cq.cq.Cq.head in
       let result =
         ref (Relation.create (Schema.of_list (Varset.to_list head)))
@@ -171,7 +171,10 @@ let answer_scoped t ~q_a =
       List.iter
         (fun (p, oy) ->
           let t_views node =
-            view_of_targets all_t_targets (Pmtd.view p node).Pmtd.vars
+            let b = (Pmtd.view p node).Pmtd.vars in
+            match Hashtbl.find_opt views b with
+            | Some rel -> rel
+            | None -> Relation.create (schema_of_set b)
           in
           let psi = Online_yannakakis.answer oy ~t_views ~q_a in
           result := Relation.union !result psi)

@@ -6,8 +6,8 @@ open Stt_obs
 module Fconfig = Stt_factorized.Config
 module Frep = Stt_factorized.Frep
 
-(* One probing step of an online plan: join the accumulator with the
-   indexed relation, then project to [keep]. *)
+(* One probing step of an online plan: probe the indexed relation with
+   each incoming row, then project every match to [keep]. *)
 type step = { idx : Index.t; keep : Schema.var list }
 
 type subproblem = {
@@ -778,46 +778,147 @@ let build ?(counted = false) (r : Rule.t) ~db ~budget =
 
 exception Plan_abort
 
-let run_plan ?cap q_a plan =
-  let acc = ref q_a in
-  List.iter
-    (fun { idx; keep } ->
-      acc := Index.join !acc idx;
-      (match cap with
-      | Some c when Relation.cardinal !acc > c -> raise Plan_abort
-      | _ -> ());
-      acc := Relation.project !acc keep)
-    plan;
-  !acc
+(* One plan step compiled for a pipelined run: where the probe key and
+   each output column come from, plus the run's scratch buffers.  The
+   output is the step's [keep] row, or for the last step the T-target
+   row itself. *)
+type stage = {
+  sidx : Index.t;
+  key_pos : int array; (* probe key, as positions in the input row *)
+  key : int array;     (* scratch probe key *)
+  col_in : int array;  (* output column from this input position, or -1 *)
+  col_ix : int array;  (* ... otherwise from this index-row position *)
+  out : int array;     (* scratch output row *)
+  seen : unit Tuple.Tbl.t option; (* rows already forwarded (projecting steps) *)
+  mutable matches : int;
+}
 
-let online t ~q_a =
-  let out : (Varset.t, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+let compile_stage ~in_schema ~out_vars ~last { idx; keep } =
+  let src = Index.source_schema idx in
+  let from_input v = Schema.mem v in_schema in
+  let key_pos = Schema.positions in_schema (Index.key_vars idx) in
+  {
+    sidx = idx;
+    key_pos;
+    key = Array.make (Array.length key_pos) 0;
+    col_in =
+      Array.of_list
+        (List.map
+           (fun v -> if from_input v then Schema.position in_schema v else -1)
+           out_vars);
+    col_ix =
+      Array.of_list
+        (List.map
+           (fun v -> if from_input v then -1 else Schema.position src v)
+           out_vars);
+    out = Array.make (List.length out_vars) 0;
+    (* the last step's rows land in the deduplicating output relation *)
+    seen =
+      (if
+         (not last)
+         && List.length keep < Schema.arity (Schema.union in_schema src)
+       then Some (Tuple.Tbl.create 64)
+       else None);
+    matches = 0;
+  }
+
+(* Pipelined plan execution: every access tuple is pushed depth-first
+   through the step indexes with [Index.probe_iter], each step writing
+   its projected row into a scratch buffer, and every final row is
+   projected straight onto the T-target and added to [into].  No
+   intermediate relation is built.  A step that projects variables away
+   forwards each distinct row once (its seen-set), so every step probes
+   exactly the rows a materialize-then-project run would.  [cap] bounds
+   each step's join matches — the cardinality of that step's join in a
+   materializing run — and [Plan_abort] leaves the rows emitted so far
+   in [into]. *)
+let run_plan ?cap ~into plan q_a =
+  let target_vars = Schema.vars (Relation.schema into) in
+  let n = List.length plan in
+  let final_vars =
+    match List.rev plan with
+    | [] -> Schema.vars (Relation.schema q_a)
+    | last :: _ -> last.keep
+  in
+  if List.for_all (fun v -> List.mem v final_vars) target_vars then begin
+    let stages =
+      let in_schema = ref (Relation.schema q_a) in
+      Array.of_list
+        (List.mapi
+           (fun i step ->
+             let last = i = n - 1 in
+             let out_vars = if last then target_vars else step.keep in
+             let st = compile_stage ~in_schema:!in_schema ~out_vars ~last step in
+             in_schema := Schema.of_list step.keep;
+             st)
+           plan)
+    in
+    let cap = Option.value cap ~default:max_int in
+    let emit row =
+      if not (Relation.mem into row) then Relation.add into (Array.copy row)
+    in
+    let rec push i row =
+      if i = n then emit row
+      else begin
+        let st = stages.(i) in
+        Tuple.project_into st.key_pos row st.key;
+        Index.probe_iter st.sidx st.key (fun src base ->
+            st.matches <- st.matches + 1;
+            if st.matches > cap then raise Plan_abort;
+            Cost.charge_scan ();
+            let out = st.out in
+            for k = 0 to Array.length out - 1 do
+              let p = st.col_in.(k) in
+              out.(k) <- (if p >= 0 then row.(p) else src.(base + st.col_ix.(k)))
+            done;
+            match st.seen with
+            | None -> push (i + 1) out
+            | Some seen ->
+                if not (Tuple.Tbl.mem seen out) then begin
+                  Cost.charge_tuple ();
+                  let kept = Array.copy out in
+                  Tuple.Tbl.add seen kept ();
+                  push (i + 1) kept
+                end)
+      end
+    in
+    if n = 0 then begin
+      let pos = Schema.positions (Relation.schema q_a) target_vars in
+      let out = Array.make (List.length target_vars) 0 in
+      Relation.iter
+        (fun tup ->
+          Cost.charge_scan ();
+          Tuple.project_into pos tup out;
+          emit out)
+        q_a
+    end
+    else Relation.iter (push 0) q_a
+  end
+
+let target_relation views b =
+  match Hashtbl.find_opt views b with
+  | Some rel -> rel
+  | None ->
+      let rel = Relation.create (Schema.of_list (Varset.to_list b)) in
+      Hashtbl.add views b rel;
+      rel
+
+let online_into t ~q_a views =
+  let cap_scale = max 1 (Relation.cardinal q_a) in
   List.iter
     (fun sub ->
-      let result_rel =
-        (* adaptive execution: greedy plan within the cap, safe plan on
-           overflow *)
-        try run_plan ~cap:(sub.cap * max 1 (Relation.cardinal q_a)) q_a sub.probe_plan
-        with Plan_abort -> run_plan q_a sub.safe_plan
-      in
-      let acc = ref result_rel in
-      let target_vars = Varset.to_list sub.t_target in
-      let result =
-        if
-          List.for_all
-            (fun v -> Schema.mem v (Relation.schema !acc))
-            target_vars
-        then Relation.project !acc target_vars
-        else Relation.create (Schema.of_list target_vars)
-      in
-      let merged =
-        match Hashtbl.find_opt out sub.t_target with
-        | Some existing -> Relation.union existing result
-        | None -> result
-      in
-      Hashtbl.replace out sub.t_target merged)
-    t.delegated;
-  Hashtbl.fold (fun b rel acc -> (b, rel) :: acc) out []
+      let into = target_relation views sub.t_target in
+      (* adaptive execution: greedy plan within the cap, safe plan on
+         overflow; rows the probe plan already emitted are a subset of
+         the safe plan's (same projection), so they stay *)
+      try run_plan ~cap:(sub.cap * cap_scale) ~into sub.probe_plan q_a
+      with Plan_abort -> run_plan ~into sub.safe_plan q_a)
+    t.delegated
+
+let online t ~q_a =
+  let views = Hashtbl.create 4 in
+  online_into t ~q_a views;
+  Hashtbl.fold (fun b rel acc -> (b, rel) :: acc) views []
 
 (* ------------------------------------------------------------------ *)
 (* incremental maintenance                                              *)

@@ -22,8 +22,10 @@ open Stt_relation
 open Stt_hypergraph
 
 type step = { idx : Index.t; keep : Schema.var list }
-(** One probing step of an online plan: join the accumulator with the
-    indexed relation, then project to [keep]. *)
+(** One probing step of an online plan: each row reaching the step
+    probes [idx] on the variables it shares with the row, and every
+    match, extended by the index row, is projected to [keep] and pushed
+    on to the next step. *)
 
 type subproblem = {
   t_target : Varset.t;
@@ -62,7 +64,35 @@ val stored_subproblems : t -> int
 
 val online : t -> q_a:Relation.t -> (Varset.t * Relation.t) list
 (** T-target relations computed from the delegated subproblems for this
-    access request.  Respects the global cost counters. *)
+    access request, one relation per distinct T-target (schema column
+    order = ascending variable ids).  A thin wrapper over
+    {!online_into} with a fresh table.  Respects the global cost
+    counters. *)
+
+val online_into :
+  t -> q_a:Relation.t -> (Varset.t, Relation.t) Hashtbl.t -> unit
+(** Accumulating form of {!online}: streams every delegated
+    subproblem's rows into the table's relation for its T-target,
+    creating that relation (ascending-variable schema) on first use.
+    Several structures can share one table, so all subproblems with the
+    same target write into one relation and no per-subproblem copy or
+    union is made. *)
+
+exception Plan_abort
+
+val run_plan : ?cap:int -> into:Relation.t -> step list -> Relation.t -> unit
+(** [run_plan ?cap ~into plan q_a] evaluates [plan] for the access
+    tuples [q_a] and adds the result, projected onto the schema of
+    [into], to [into].  Evaluation is pipelined: each access tuple is
+    pushed depth-first through the step indexes with no intermediate
+    relation; a step whose [keep] drops variables forwards each distinct
+    row once, so every step probes the same rows as a
+    materialize-then-project run.  Nothing is added when the plan's
+    final row does not cover [into]'s variables.
+
+    Raises [Plan_abort] as soon as some step's join matches exceed
+    [cap] — exactly when that step's materialized join would.  Rows
+    emitted before the abort stay in [into]. *)
 
 val rule : t -> Rule.t
 

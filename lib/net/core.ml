@@ -254,7 +254,7 @@ let rec drain_flush conn deadline =
   match Netbuf.flush conn.fd conn.pending with
   | Netbuf.Flushed | Netbuf.Gone -> ()
   | Netbuf.Again ->
-      if Unix.gettimeofday () < deadline then begin
+      if Mono.now_s () < deadline then begin
         (try ignore (Unix.select [] [ conn.fd ] [] 0.05)
          with Unix.Unix_error _ -> ());
         drain_flush conn deadline
@@ -281,7 +281,7 @@ let reply t conn resp =
           | Netbuf.Flushed -> `Done
           | Netbuf.Again ->
               if Atomic.get t.stop_flag then begin
-                drain_flush conn (Unix.gettimeofday () +. 5.0);
+                drain_flush conn (Mono.now_s () +. 5.0);
                 `Done
               end
               else `Want_write
@@ -370,7 +370,7 @@ let rec drain_buffer t conn =
       Rbuf.consume buf (4 + len);
       match decoded with
       | Ok req ->
-          t.handle t conn ~now:(Unix.gettimeofday ()) req;
+          t.handle t conn ~now:(Mono.now_s ()) req;
           drain_buffer t conn
       | Error e ->
           (* the stream may be out of sync past a bad frame: answer with

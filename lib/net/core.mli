@@ -47,7 +47,9 @@ val start :
     an ephemeral port — read it back with {!port}), spawns the worker
     pool and the IO domain, and calls [handle core conn ~now req] on the
     IO domain for every request decoded off a connection.  [now] is the
-    [Unix.gettimeofday] at decode time (for deadline arithmetic).
+    monotonic time ({!Mono.now_s}) at decode time: request deadlines
+    ([deadline_us] is relative to receipt) are computed and checked on
+    that clock, so a wall-clock step cannot expire or extend them.
 
     Raises [Invalid_argument] on a non-positive [workers] or
     [queue_capacity]; [Unix.Unix_error] if the bind fails. *)

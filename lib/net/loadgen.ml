@@ -142,7 +142,7 @@ let drive_slice ?verify cfg states =
               Frame.Answer { id; deadline_us; arity = cfg.arity;
                              tuples = batch }
             in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Mono.now_s () in
             (match Client.send c req with
             | Ok () ->
                 cs.cs_tally.t_sent <- cs.cs_tally.t_sent + n;
@@ -169,7 +169,7 @@ let drive_slice ?verify cfg states =
                 abandon cs
             | Ok resp -> (
                 Obs.observe "net.rtt_us"
-                  ((Unix.gettimeofday () -. t0) *. 1e6);
+                  ((Mono.now_s () -. t0) *. 1e6);
                 match resp with
                 | Frame.Answers { id = rid; answers } when rid = id ->
                     check_answers tally ?verify ~batch answers
@@ -232,7 +232,7 @@ let run ?verify cfg =
       List.init drivers (fun d ->
           List.filter (fun cs -> cs.cs_index mod drivers = d) states)
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now_s () in
     let domains =
       List.map
         (fun slice ->
@@ -246,7 +246,7 @@ let run ?verify cfg =
         slices
     in
     List.iter (fun (d, _) -> Domain.join d) domains;
-    let elapsed_s = Unix.gettimeofday () -. t0 in
+    let elapsed_s = Mono.now_s () -. t0 in
     let tallies = List.map (fun cs -> cs.cs_tally) states in
     if not (List.exists (fun t -> t.t_connected) tallies) then
       Error

@@ -8,3 +8,8 @@
 val now_ns : unit -> int
 (** Nanoseconds since an arbitrary fixed point (process-independent
     epoch, never goes backwards). *)
+
+val now_s : unit -> float
+(** {!now_ns} in seconds: the clock for deadlines, drains and latency
+    (a wall-clock step must neither expire queued work nor stretch a
+    drain). *)

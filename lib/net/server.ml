@@ -135,7 +135,7 @@ type t = Core.t
 (* ------------------------------------------------------------------ *)
 
 let serve_answer core ~rw ~handler ~jconn ~jid ~jarity ~jtuples ~jdeadline =
-  let started = Unix.gettimeofday () in
+  let started = Mono.now_s () in
   if started > jdeadline then begin
     Core.note_deadline core;
     Core.reply core jconn
@@ -163,7 +163,7 @@ let serve_answer core ~rw ~handler ~jconn ~jid ~jarity ~jtuples ~jdeadline =
               | Failure msg -> Error msg
               | e -> Error (Printexc.to_string e)))
     in
-    let finished = Unix.gettimeofday () in
+    let finished = Mono.now_s () in
     (match result with
     | Error msg ->
         Core.note_bad core;
@@ -189,7 +189,7 @@ let serve_answer core ~rw ~handler ~jconn ~jid ~jarity ~jtuples ~jdeadline =
 
 let serve_agg core ~rw ~agg_handler ~jconn ~jid ~jkind ~jarity ~jtuples
     ~jdeadline =
-  let started = Unix.gettimeofday () in
+  let started = Mono.now_s () in
   if started > jdeadline then begin
     Core.note_deadline core;
     Core.reply core jconn
@@ -217,7 +217,7 @@ let serve_agg core ~rw ~agg_handler ~jconn ~jid ~jkind ~jarity ~jtuples
                   | Failure msg -> Error msg
                   | e -> Error (Printexc.to_string e))))
     in
-    let finished = Unix.gettimeofday () in
+    let finished = Mono.now_s () in
     (match result with
     | Error msg ->
         Core.note_bad core;
@@ -237,7 +237,7 @@ let serve_agg core ~rw ~agg_handler ~jconn ~jid ~jkind ~jarity ~jtuples
   end
 
 let serve_update core ~rw ~update_handler ~jconn ~jid ~jdeltas =
-  let started = Unix.gettimeofday () in
+  let started = Mono.now_s () in
   let jctx = Obs.create_context () in
   let result =
     Obs.with_context jctx (fun () ->
@@ -255,7 +255,7 @@ let serve_update core ~rw ~update_handler ~jconn ~jid ~jdeltas =
                 | Failure msg -> Error msg
                 | e -> Error (Printexc.to_string e))))
   in
-  let finished = Unix.gettimeofday () in
+  let finished = Mono.now_s () in
   (match result with
   | Error msg ->
       Core.note_bad core;

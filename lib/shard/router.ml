@@ -362,7 +362,7 @@ let scatter_gather_agg t ~id ~deadline_us ~kind ~arity tuples =
 (* ------------------------------------------------------------------ *)
 
 let serve_answer t ~conn ~id ~deadline_us ~arity ~tuples ~jdeadline =
-  let started = Unix.gettimeofday () in
+  let started = Stt_net.Mono.now_s () in
   if started > jdeadline then begin
     Core.note_deadline t.core;
     Core.reply t.core conn
@@ -387,7 +387,7 @@ let serve_answer t ~conn ~id ~deadline_us ~arity ~tuples ~jdeadline =
                 scatter_gather t ~id ~deadline_us:remaining_us ~arity tuples
               with e -> `Error (Printexc.to_string e)))
     in
-    let finished = Unix.gettimeofday () in
+    let finished = Stt_net.Mono.now_s () in
     (match outcome with
     | `Answers answers ->
         Core.note_answered t.core;
@@ -412,7 +412,7 @@ let serve_answer t ~conn ~id ~deadline_us ~arity ~tuples ~jdeadline =
   end
 
 let serve_agg t ~conn ~id ~deadline_us ~kind ~arity ~tuples ~jdeadline =
-  let started = Unix.gettimeofday () in
+  let started = Stt_net.Mono.now_s () in
   if started > jdeadline then begin
     Core.note_deadline t.core;
     Core.reply t.core conn
@@ -439,7 +439,7 @@ let serve_agg t ~conn ~id ~deadline_us ~kind ~arity ~tuples ~jdeadline =
                   ~arity tuples
               with e -> `Error (Printexc.to_string e)))
     in
-    let finished = Unix.gettimeofday () in
+    let finished = Stt_net.Mono.now_s () in
     (match outcome with
     | `Value (value, cost) ->
         Core.note_answered t.core;

@@ -25,18 +25,36 @@ let magic = "\x89STTSNAP"
 let sect_marker = 0x53 (* 'S' *)
 let end_marker = 0x45 (* 'E' *)
 
+(* Atomic replacement: every write goes to a temp file beside the
+   destination, is fsynced, then renamed over it — a crash or error
+   mid-write leaves the previous file intact and no temp file behind. *)
+let tmp_of path = path ^ ".tmp"
+
+let commit oc ~tmp ~dst =
+  flush oc;
+  (try Unix.fsync (Unix.descr_of_out_channel oc)
+   with Unix.Unix_error (e, fn, _) ->
+     raise (Sys_error (fn ^ ": " ^ Unix.error_message e)));
+  close_out oc;
+  Sys.rename tmp dst
+
+let discard oc ~tmp =
+  close_out_noerr oc;
+  try Sys.remove tmp with Sys_error _ -> ()
+
 module Writer = struct
-  type t = { oc : out_channel; mutable bytes : int }
+  type t = { oc : out_channel; mutable bytes : int; tmp : string; dst : string }
 
   let emit t s =
     output_string t.oc s;
     t.bytes <- t.bytes + String.length s
 
   let create ~version path =
-    match open_out_bin path with
+    let tmp = tmp_of path in
+    match open_out_bin tmp with
     | exception Sys_error msg -> Error (Io_error msg)
     | oc ->
-        let t = { oc; bytes = 0 } in
+        let t = { oc; bytes = 0; tmp; dst = path } in
         let header = Codec.encoder () in
         Codec.write_u32 header version;
         emit t magic;
@@ -61,9 +79,11 @@ module Writer = struct
     let fin = Codec.encoder () in
     Codec.write_u8 fin end_marker;
     emit t (Codec.contents fin);
-    match close_out t.oc with
+    match commit t.oc ~tmp:t.tmp ~dst:t.dst with
     | () -> Ok t.bytes
-    | exception Sys_error msg -> Error (Io_error msg)
+    | exception Sys_error msg ->
+        discard t.oc ~tmp:t.tmp;
+        Error (Io_error msg)
 end
 
 let write ~version path sections =
@@ -75,8 +95,7 @@ let write ~version path sections =
       with
       | () -> Writer.close w
       | exception e ->
-          close_out_noerr w.Writer.oc;
-          (try Sys.remove path with Sys_error _ -> ());
+          discard w.Writer.oc ~tmp:w.Writer.tmp;
           raise e)
 
 module Reader = struct
@@ -170,7 +189,7 @@ end
    section by section (magic, framing, every CRC) before it lands, at
    whatever format version the file declares (shipping is transport, not
    interpretation: the replica's [load] still enforces its own version),
-   and written atomically (tmp + rename) so a replica never boots from a
+   and written atomically (tmp + fsync + rename) so a replica never boots from a
    torn file. *)
 let ship ~src ~dst =
   match Reader.read_file src with
@@ -187,17 +206,15 @@ let ship ~src ~dst =
         match Reader.parse ~version:declared blob with
         | Error _ as e -> e
         | Ok _ -> (
-            let tmp = dst ^ ".ship-tmp" in
-            match
-              let oc = open_out_bin tmp in
-              (match output_string oc blob with
-              | () -> close_out oc
-              | exception e ->
-                  close_out_noerr oc;
-                  raise e);
-              Sys.rename tmp dst
-            with
-            | () -> Ok (String.length blob)
-            | exception Sys_error msg ->
-                (try Sys.remove tmp with Sys_error _ -> ());
-                Error (Io_error msg)))
+            let tmp = tmp_of dst in
+            match open_out_bin tmp with
+            | exception Sys_error msg -> Error (Io_error msg)
+            | oc -> (
+                match
+                  output_string oc blob;
+                  commit oc ~tmp ~dst
+                with
+                | () -> Ok (String.length blob)
+                | exception Sys_error msg ->
+                    discard oc ~tmp;
+                    Error (Io_error msg))))

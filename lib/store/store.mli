@@ -38,21 +38,25 @@ module Writer : sig
   type t
 
   val create : version:int -> string -> (t, error) result
-  (** Open [path] for writing and emit the header. *)
+  (** Open a temp file beside [path] for writing and emit the header;
+      [path] itself is untouched until {!close}. *)
 
   val section : t -> string -> (Codec.encoder -> unit) -> unit
   (** Append one named section whose payload is produced by the
       callback. *)
 
   val close : t -> (int, error) result
-  (** Write the end marker, flush and close; returns total bytes
-      written.  The writer must not be used afterwards. *)
+  (** Write the end marker, flush, fsync, close, and rename the temp
+      file over [path] — atomically replacing any previous file; returns
+      total bytes written.  The writer must not be used afterwards. *)
 end
 
 val write : version:int -> string ->
   (string * (Codec.encoder -> unit)) list -> (int, error) result
 (** [write ~version path sections] — create, write each section in
-    order, close.  The file is removed on error. *)
+    order, close.  The write is atomic: if a section callback raises
+    (the exception propagates) or an IO error occurs, the temp file is
+    removed and any previous file at [path] is left intact. *)
 
 module Reader : sig
   type t
@@ -76,7 +80,7 @@ end
 val ship : src:string -> dst:string -> (int, error) result
 (** Validate the snapshot at [src] — magic, section framing, every CRC,
     at whatever format version the file declares — and copy it to [dst]
-    atomically (tmp file + rename), returning the bytes shipped.  This
+    atomically (tmp file + fsync + rename), returning the bytes shipped.  This
     is the replication primitive of the sharded serving tier: build one
     snapshot, [ship] it to each replica's boot path; a corrupt source
     surfaces as a typed {!error} before any replica sees it, and a

@@ -625,6 +625,20 @@ let deadline_enforced () =
       Alcotest.(check (list (array int))) "echoed" [ [| 5 |] ] a.Frame.rows
   | _ -> Alcotest.fail "expected Answers"
 
+(* [deadline_us] is relative to receipt and checked on the server's
+   monotonic clock: a 1 us budget is always blown by the time the answer
+   is ready, and the generous budget of [deadline_enforced] still
+   answers — so both clocks of the check agree. *)
+let tiny_deadline_rejected () =
+  with_server ~workers:1 (slow_handler 0.001) @@ fun server ->
+  with_client server @@ fun client ->
+  match
+    rpc_exn client
+      (Frame.Answer { id = 3; deadline_us = 1; arity = 1; tuples = [ [| 5 |] ] })
+  with
+  | Frame.Rejected { id = 3; reject = Frame.Deadline_exceeded } -> ()
+  | _ -> Alcotest.fail "expected Deadline_exceeded for deadline_us = 1"
+
 let overload_sheds () =
   (* one slow worker, queue of one: pipelining 10 frames must shed some
      with OVERLOADED, answer the rest, and reply exactly once per id *)
@@ -986,6 +1000,8 @@ let () =
             select_backend_serves;
           Alcotest.test_case "health and stats frames" `Quick health_and_stats;
           Alcotest.test_case "deadlines are enforced" `Quick deadline_enforced;
+          Alcotest.test_case "1 us deadline is rejected" `Quick
+            tiny_deadline_rejected;
           Alcotest.test_case "full queue sheds with OVERLOADED" `Quick
             overload_sheds;
           Alcotest.test_case "graceful drain answers in-flight requests"

@@ -230,6 +230,37 @@ let engine_roundtrip () =
   | Error e -> Alcotest.failf "load: %s" (Store.error_to_string e)
   | Ok loaded -> check_identical "fixture" idx loaded (fixture_requests idx)
 
+(* A save whose section writer raises partway through must leave the
+   previous snapshot loadable and no temp file beside it. *)
+let failed_save_keeps_previous () =
+  let idx = Lazy.force fixture in
+  let path = temp_snap () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (save_exn idx path);
+  let before = read_file path in
+  let failing =
+    [
+      ("cqap", fun e -> Codec.write_string e (String.make 4096 'x'));
+      ("pmtds", fun _ -> failwith "section writer failed");
+    ]
+  in
+  Alcotest.check_raises "writer exception propagates"
+    (Failure "section writer failed") (fun () ->
+      ignore (Store.write ~version:1 path failing));
+  Alcotest.(check bool) "previous bytes intact" true (read_file path = before);
+  let base = Filename.basename path in
+  let leftovers =
+    Sys.readdir (Filename.dirname path)
+    |> Array.to_list
+    |> List.filter (fun f ->
+           f <> base && String.length f > String.length base
+           && String.sub f 0 (String.length base) = base)
+  in
+  Alcotest.(check (list string)) "no temp file left" [] leftovers;
+  match Engine.load path with
+  | Error e -> Alcotest.failf "load: %s" (Store.error_to_string e)
+  | Ok loaded -> check_identical "after failed save" idx loaded (fixture_requests idx)
+
 let engine_rejects_damage () =
   let idx = Lazy.force fixture in
   let path = temp_snap () in
@@ -340,6 +371,8 @@ let () =
             `Quick engine_roundtrip;
           Alcotest.test_case "damaged snapshots are rejected" `Quick
             engine_rejects_damage;
+          Alcotest.test_case "failed save keeps the previous snapshot" `Quick
+            failed_save_keeps_previous;
           Alcotest.test_case "every flipped byte is caught" `Slow
             engine_flip_sweep;
         ] );
