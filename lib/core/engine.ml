@@ -638,35 +638,25 @@ let known_relation t rel =
    access-variable projections of every body derivation that uses the
    tuple at some atom.  Computed against the base relations — before
    applying a delete (the dying derivations), after applying an insert
-   (the new ones).  The pinned singleton is the smallest join input, so
-   the greedy join stays narrow around the tuple. *)
+   (the new ones) — by a pinned search from the tuple. *)
 let affected_access t ~rel ~tuple =
-  match t.structures with
-  | [] -> Tuple.Tbl.create 1
+  let acc = Tuple.Tbl.create 16 in
+  (match t.structures with
+  | [] -> ()
   | s :: _ ->
-      let base = Twopp.base_relations s in
-      let access = Varset.to_list t.cqap.Cq.access in
-      let acc = Tuple.Tbl.create 16 in
+      let base = Twopp.base_leaves s in
+      let keep = Varset.to_list t.cqap.Cq.access in
       List.iter
         (fun ((a : Cq.atom), _) ->
-          if a.Cq.rel = rel then begin
-            let single =
-              Relation.singleton (Schema.of_list a.Cq.vars) tuple
-            in
+          if a.Cq.rel = rel then
             let others =
-              List.filter_map
-                (fun (a', r) -> if a' == a then None else Some r)
-                base
+              List.filter_map (fun (a', l) -> if a' == a then None else Some l) base
             in
-            let reach = Db.join_greedy (single :: others) ~keep:access in
-            Relation.iter
-              (fun row ->
-                if not (Tuple.Tbl.mem acc row) then
-                  Tuple.Tbl.add acc (Array.copy row) ())
-              reach
-          end)
-        base;
-      acc
+            Twopp.pinned_search others ~pin:(a.Cq.vars, tuple) ~keep
+            |> Option.get
+            |> Relation.iter (fun row -> Tuple.Tbl.replace acc row ()))
+        base);
+  acc
 
 let invalidate_cache t affected =
   match t.cache with
@@ -724,8 +714,7 @@ let apply_one t ~rel ~tuple ~add =
     in
     let events =
       List.concat_map
-        (fun s ->
-          List.map (fun ev -> ev) (Twopp.apply_delta s ~rel ~tuple ~add))
+        (fun s -> Twopp.apply_delta s ~rel ~tuple ~add)
         t.structures
     in
     let inserts, deletes = List.partition (fun (_, _, sign) -> sign) events in

@@ -29,13 +29,18 @@ type dsub = {
   safe_atoms : Cq.atom list;  (* aligned with sub.safe_plan *)
 }
 
+(* A live relation with its maintenance indexes, one per bound-variable
+   set (schema order) it was searched with: built on first use, then
+   patched in place at every mutation of [rel]. *)
+type leaf = { rel : Relation.t; mutable idxs : (Schema.var list * Index.t) list }
+
 type decision =
   | M_absent (* some leaf empty at build (or never activated since) *)
   | M_stored of Varset.t
   | M_delegated of dsub
 
 type combo = {
-  crel : (Cq.atom * Relation.t) list; (* this combo's leaf per atom *)
+  crel : (Cq.atom * leaf) list; (* this combo's leaf per atom *)
   mutable cdecision : decision;
 }
 
@@ -60,7 +65,7 @@ type ctree =
 
 type maint = {
   mbudget : int;
-  base : (Cq.atom * Relation.t) list; (* live base relation per atom *)
+  base : (Cq.atom * leaf) list; (* live base relation per atom *)
   tree : ctree;
   combos : combo list; (* leaves in canonical heavy-first order *)
 }
@@ -74,7 +79,6 @@ type t = {
   maint : maint option; (* None for snapshot-loaded (static) structures *)
 }
 
-let rule t = t.rule
 let s_targets t = t.stored
 let space t = t.space
 let delegated t = t.delegated
@@ -82,7 +86,7 @@ let delegated_subproblems t = List.length t.delegated
 let stored_subproblems t = t.stored_subs
 let supports_maintenance t = t.maint <> None
 
-let base_relations t =
+let base_leaves t =
   match t.maint with Some m -> m.base | None -> []
 
 let base_mem t ~rel tuple =
@@ -90,10 +94,10 @@ let base_mem t ~rel tuple =
   | None -> false
   | Some m ->
       List.exists
-        (fun ((a : Cq.atom), base_rel) ->
+        (fun ((a : Cq.atom), l) ->
           a.Cq.rel = rel
           && Tuple.arity tuple = List.length a.Cq.vars
-          && Relation.mem base_rel tuple)
+          && Relation.mem l.rel tuple)
         m.base
 
 let stored_mem t b row =
@@ -363,11 +367,124 @@ let eval_targets rels targets ~budget =
     targets
 
 (* ------------------------------------------------------------------ *)
+(* leaves and the pinned search                                         *)
+(* ------------------------------------------------------------------ *)
+
+let leaf rel = { rel; idxs = [] }
+
+let leaf_index l key =
+  match List.assoc_opt key l.idxs with
+  | Some idx -> idx
+  | None ->
+      let idx = Index.build l.rel key in
+      l.idxs <- (key, idx) :: l.idxs;
+      idx
+
+(* an unsplit atom's base leaf sits in every combo: the first of its
+   mutations per delta changes it, the others are no-ops *)
+let leaf_add l tup =
+  (not (Relation.mem l.rel tup))
+  && (Relation.add l.rel tup;
+      List.iter (fun (_, idx) -> ignore (Index.insert idx tup)) l.idxs;
+      true)
+
+let leaf_remove l tup =
+  Relation.remove l.rel tup
+  && (List.iter (fun (_, idx) -> ignore (Index.remove idx tup)) l.idxs;
+      true)
+
+exception Witness
+exception Over_limit
+
+(* Depth-first search for the extensions of the binding [pin] that
+   satisfy every leaf, projected onto [keep].  Each level asks every
+   remaining leaf how many rows match the binding — [Index.count] on its
+   bound variables, a membership probe once all are bound — and
+   descends through the one with the fewest, so around a heavy key the
+   fan-out leaf waits until its variables are pinned.  Once every [keep]
+   variable is bound the rest needs one witness only: a row already
+   found is skipped, otherwise the search stops at the first witness
+   ([keep = []] is the existence check). *)
+let pinned_search ?(limit = max_int) leaves ~pin:(pvars, ptup) ~keep =
+  let vars l = Schema.vars (Relation.schema l.rel) in
+  let all = pvars @ List.concat_map vars leaves in
+  if not (List.for_all (fun v -> List.mem v all) keep) then
+    invalid_arg "Twopp.pinned_search: keep variable bound by no leaf";
+  let nv = 1 + List.fold_left max (-1) all in
+  let value = Array.make nv 0 and bound = Array.make nv false in
+  List.iteri (fun i v -> value.(v) <- ptup.(i); bound.(v) <- true) pvars;
+  let out = Relation.create (Schema.of_list keep) in
+  let keep = Array.of_list keep in
+  let row = Array.make (Array.length keep) 0 in
+  (* through the most selective remaining leaf: [f rest] once per match
+     with its free variables bound; [true] as soon as [f] is *)
+  let descend remaining f =
+    let rec score best = function
+      | [] -> best
+      | l :: ls -> (
+          let bvars = List.filter (fun v -> bound.(v)) (vars l) in
+          let key = Array.of_list (List.map (fun v -> value.(v)) bvars) in
+          (* a fully bound leaf is a membership test, an unbound one a
+             scan: only partly bound leaves need an index *)
+          let n, iter =
+            if bvars = [] || List.length bvars = List.length (vars l) then begin
+              Cost.charge_probe ();
+              if bvars = [] then
+                ( Relation.cardinal l.rel,
+                  Some (fun g -> Relation.iter (fun tup -> g tup 0) l.rel) )
+              else (Bool.to_int (Relation.mem l.rel key), None)
+            end
+            else
+              let idx = leaf_index l bvars in
+              (Index.count idx key, Some (Index.probe_iter idx key))
+          in
+          match best with
+          | _ when n = 0 -> None
+          | Some (bn, _, _) when bn <= n -> score best ls
+          | _ -> score (Some (n, l, iter)) ls)
+    in
+    match score None remaining with
+    | None -> false
+    | Some (_, l, iter) -> (
+        let rest = List.filter (fun l' -> l' != l) remaining in
+        match iter with
+        | None -> f rest
+        | Some iter -> (
+            let free = List.filter (fun v -> not bound.(v)) (vars l) in
+            let fvars = Array.of_list free in
+            let fpos = Schema.positions (Relation.schema l.rel) free in
+            Array.iter (fun v -> bound.(v) <- true) fvars;
+            let unbind () = Array.iter (fun v -> bound.(v) <- false) fvars in
+            match
+              iter (fun src base ->
+                  Cost.charge_scan ();
+                  Array.iteri (fun k v -> value.(v) <- src.(base + fpos.(k))) fvars;
+                  if f rest then raise Witness)
+            with
+            | () -> unbind (); false
+            | exception Witness -> unbind (); true))
+  in
+  let rec exists remaining = remaining = [] || descend remaining exists in
+  let rec enum remaining =
+    if Array.for_all (fun v -> bound.(v)) keep then begin
+      Array.iteri (fun k v -> row.(k) <- value.(v)) keep;
+      if (not (Relation.mem out row)) && exists remaining then begin
+        Relation.add out (Array.copy row);
+        if Relation.cardinal out > limit then raise Over_limit
+      end
+    end
+    else ignore (descend remaining (fun rest -> enum rest; false))
+  in
+  match enum leaves with () -> Some out | exception Over_limit -> None
+
+(* ------------------------------------------------------------------ *)
 (* the split tree                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let combo_nonempty c =
-  List.for_all (fun (_, r) -> not (Relation.is_empty r)) c.crel
+  List.for_all (fun (_, l) -> not (Relation.is_empty l.rel)) c.crel
+
+let combo_relations c = List.map (fun (a, l) -> (a, l.rel)) c.crel
 
 let rec combos_of = function
   | CLeaf c -> [ c ]
@@ -381,8 +498,7 @@ let rec combos_of = function
 let rec tree_insert tr atom tup events =
   match tr with
   | CLeaf c ->
-      let rel = List.assq atom c.crel in
-      Relation.add rel tup;
+      ignore (leaf_add (List.assq atom c.crel) tup);
       events := (c, tup, true) :: !events
   | CNode n ->
       if n.catom != atom then begin
@@ -428,8 +544,7 @@ let rec tree_insert tr atom tup events =
 and tree_delete tr atom tup events =
   match tr with
   | CLeaf c ->
-      let rel = List.assq atom c.crel in
-      ignore (Relation.remove rel tup);
+      ignore (leaf_remove (List.assq atom c.crel) tup);
       events := (c, tup, false) :: !events
   | CNode n ->
       if n.catom != atom then begin
@@ -550,7 +665,7 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
       (* [Impossible] is a worst-case prediction; actual materialization is
          still attempted below and only fails if the real data does not
          fit either. *)
-      let base = List.map (fun a -> (a, Db.relation db a)) cq.Cq.atoms in
+      let base = List.map (fun a -> (a, leaf (Db.relation db a))) cq.Cq.atoms in
       let hs_of x =
         match List.assoc_opt x point.Jointflow.hs with
         | Some v -> v
@@ -566,10 +681,10 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
                 base
             with
             | None -> None
-            | Some (atom, rel) ->
+            | Some (atom, l) ->
                 let exp = Rat.to_float (hs_of x) *. logd_abs in
                 let t =
-                  float_of_int (max 1 (Relation.cardinal rel))
+                  float_of_int (max 1 (Relation.cardinal l.rel))
                   /. Float.pow 2.0 exp
                 in
                 Some (atom, x, y, max 1 (int_of_float (Float.round t))))
@@ -581,7 +696,7 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
       let rec expand_tree rels = function
         | [] -> CLeaf { crel = rels; cdecision = M_absent }
         | (atom, x, y, threshold) :: rest ->
-            let rel = List.assq atom rels in
+            let rel = (List.assq atom rels).rel in
             let heavy, light =
               Obs.span "twopp.split" (fun () ->
                   let h, l =
@@ -621,7 +736,7 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
               rel;
             let with_rel repl =
               List.map
-                (fun (a, r0) -> if a == atom then (a, repl) else (a, r0))
+                (fun (a, l0) -> if a == atom then (a, leaf repl) else (a, l0))
                 rels
             in
             let cheavy = expand_tree (with_rel heavy) rest in
@@ -662,7 +777,7 @@ let build_pass ~counted (r : Rule.t) ~db ~budget ~budget_lp =
           if combo_nonempty c then begin
             incr n_live;
             Obs.span "twopp.subproblem" @@ fun () ->
-            let rels = c.crel in
+            let rels = combo_relations c in
             let candidates =
               match r.Rule.s_targets with
               | [] -> []
@@ -932,119 +1047,13 @@ let stored_rel_for t b =
       t.stored <- t.stored @ [ (b, rel) ];
       rel
 
-(* Early-exit witness search.  [find_witness binding rels] asks whether
-   some extension of [binding] satisfies every (vars, relation) atom in
-   [rels] — an existence check, so it stops at the first witness instead
-   of enumerating all of them (around a heavy key the witness count is a
-   degree product; a full join would pay for every one).  Scan-based:
-   one [scan] charged per tuple visited. *)
-let consistent binding vs tup =
-  let ok = ref true in
-  List.iteri
-    (fun i v ->
-      if !ok then
-        match Hashtbl.find_opt binding v with
-        | Some x -> if x <> tup.(i) then ok := false
-        | None -> ())
-    vs;
-  !ok
-
-(* bind the atom's unbound variables to the tuple's values; [None] (and
-   no binding change) if the tuple contradicts the current binding *)
-let extend binding vs tup =
-  let added = ref [] in
-  let ok = ref true in
-  List.iteri
-    (fun i v ->
-      if !ok then
-        match Hashtbl.find_opt binding v with
-        | Some x -> if x <> tup.(i) then ok := false
-        | None ->
-            Hashtbl.add binding v tup.(i);
-            added := v :: !added)
-    vs;
-  if !ok then Some !added
-  else begin
-    List.iter (Hashtbl.remove binding) !added;
-    None
-  end
-
-let rec find_witness binding rels =
-  match rels with
-  | [] -> true
-  | _ ->
-      (* one counting scan per remaining atom, then recurse through the
-         atom with the fewest matches under the current binding — around
-         a heavy key the fan-out atom is deferred until its variables
-         are pinned, so branching stays near the cold side's degrees *)
-      let scored =
-        List.map
-          (fun ((vs, rel) as atom) ->
-            let matches = ref [] in
-            Relation.iter
-              (fun tup ->
-                Cost.charge_scan ();
-                if consistent binding vs tup then matches := tup :: !matches)
-              rel;
-            (List.length !matches, !matches, atom))
-          rels
-      in
-      let n, matches, ((vs, _) as atom) =
-        List.fold_left
-          (fun ((bn, _, _) as b) ((n, _, _) as x) -> if n < bn then x else b)
-          (List.hd scored) (List.tl scored)
-      in
-      n > 0
-      &&
-      let rest = List.filter (fun a -> not (a == atom)) rels in
-      List.exists
-        (fun tup ->
-          match extend binding vs tup with
-          | None -> false
-          | Some added ->
-              let hit = find_witness binding rest in
-              if not hit then List.iter (Hashtbl.remove binding) added;
-              hit)
-        matches
-
-(* Which rows of [cand_rel : keep] does the combo's body join still
-   derive?  Semijoin-reduce the body under the candidate pinning (one
-   pass against the candidates, then a forward/backward neighbor sweep
-   — linear in the slice sizes), then run {!find_witness} per row over
-   the reduced slices. *)
-let derivable_rows c ~keep cand_rel =
-  let rels = Array.of_list (List.map snd c.crel) in
-  (* pin the atoms that see candidate columns (one linear semijoin each);
-     atoms with no candidate column are shared by reference, not copied —
-     the witness search prunes them by match counting instead *)
-  let shares a b = Schema.inter (Relation.schema a) (Relation.schema b) <> [] in
-  Array.iteri
-    (fun i r -> if shares r cand_rel then rels.(i) <- Relation.semijoin r cand_rel)
-    rels;
-  let out = Relation.create (Schema.of_list keep) in
-  let any_empty = ref false in
-  Array.iter (fun r -> if Relation.is_empty r then any_empty := true) rels;
-  if not !any_empty then begin
-    let atoms =
-      Array.to_list
-        (Array.map (fun r -> (Schema.vars (Relation.schema r), r)) rels)
-    in
-    Relation.iter
-      (fun row ->
-        let binding = Hashtbl.create 16 in
-        List.iteri (fun i v -> Hashtbl.replace binding v row.(i)) keep;
-        if find_witness binding atoms then Relation.add out row)
-      cand_rel
-  end;
-  out
-
 (* a combo that was empty at build (never classified) just became
    non-empty: run the build-time decision logic on its current leaves.
    May raise [Failure] exactly like [build] when the rule has no
    T-targets and the stored candidates no longer fit the budget. *)
 let activate t m c out_events =
   let r = t.rule in
-  let rels = c.crel in
+  let rels = combo_relations c in
   let candidates =
     match r.Rule.s_targets with
     | [] -> []
@@ -1115,17 +1124,11 @@ let propagate t m c atom tup sign out_events =
       patch d.sub.safe_plan d.safe_atoms
   | M_stored b ->
       let union_rel = stored_rel_for t b in
-      let single =
-        Relation.singleton (Relation.schema (List.assq atom c.crel)) tup
-      in
       let others =
-        List.filter_map
-          (fun (a, rel) -> if a == atom then None else Some rel)
-          c.crel
+        List.filter_map (fun (a, l) -> if a == atom then None else Some l) c.crel
       in
-      let keep = Varset.to_list b in
+      let pin = (atom.Cq.vars, tup) and keep = Varset.to_list b in
       if sign then
-        let delta = Db.join_greedy (single :: others) ~keep in
         Relation.iter
           (fun row ->
             if not (Relation.mem union_rel row) then begin
@@ -1133,51 +1136,40 @@ let propagate t m c atom tup sign out_events =
               t.space <- t.space + 1;
               out_events := (b, row, true) :: !out_events
             end)
-          delta
+          (Option.get (pinned_search others ~pin ~keep))
       else begin
         (* candidate rows that may have lost their last witness: exactly
-           the rows that were derivable through the removed tuple.  The
-           delta join's intermediates are degree products, so it blows
-           up when both endpoints of the removed tuple are heavy; the
-           stored union, in contrast, is budget-bounded.  Run the delta
-           join only while it stays small and otherwise recheck every
-           stored row — either set over-approximates the victims. *)
+           the rows that were derivable through the removed tuple.  Around
+           a tuple with two heavy endpoints they are a degree product,
+           while the stored union is budget-bounded: past a small multiple
+           of the union, recheck every stored row instead — either set
+           over-approximates the victims. *)
         let limit = 4 * (1 + Relation.cardinal union_rel) in
         let cands =
-          match Db.join_greedy_bounded (single :: others) ~keep ~limit with
-          | Some delta -> Relation.to_list delta
-          | None -> Relation.to_list union_rel
+          match pinned_search ~limit others ~pin ~keep with
+          | Some delta -> delta
+          | None -> union_rel
         in
-        let victims =
-          (* last-witness check: a candidate row dies only if NO sibling
-             combo with the same target still derives it.  Each combo is
-             checked by semijoin reduction plus early-exit witness
-             search — never by enumerating the (degree-product many)
-             witnesses around a heavy key. *)
-          let cand_rel = Relation.create (Schema.of_list keep) in
-          List.iter
-            (fun row ->
-              if Relation.mem union_rel row then Relation.add cand_rel row)
-            cands;
-          let surviving = ref cand_rel in
-          List.iter
-            (fun c' ->
-              match c'.cdecision with
-              | M_stored b'
-                when Varset.equal b b'
-                     && not (Relation.is_empty !surviving) ->
-                  let derived = derivable_rows c' ~keep !surviving in
-                  surviving := Relation.antijoin !surviving derived
-              | _ -> ())
-            m.combos;
-          Relation.to_list !surviving
+        (* last-witness check: a candidate row dies only if NO sibling
+           combo with the same target still derives it — one existence
+           search per combo, never an enumeration of witnesses *)
+        let derives row c' =
+          match c'.cdecision with
+          | M_stored b' when Varset.equal b b' ->
+              pinned_search (List.map snd c'.crel) ~pin:(keep, row) ~keep:[]
+              |> Option.get |> Relation.is_empty |> not
+          | _ -> false
         in
-        List.iter
-          (fun row ->
-            ignore (Relation.remove union_rel row);
-            t.space <- t.space - 1;
-            out_events := (b, row, false) :: !out_events)
-          victims
+        Relation.fold
+          (fun row acc ->
+            if Relation.mem union_rel row && not (List.exists (derives row) m.combos)
+            then row :: acc
+            else acc)
+          cands []
+        |> List.iter (fun row ->
+               ignore (Relation.remove union_rel row);
+               t.space <- t.space - 1;
+               out_events := (b, row, false) :: !out_events)
       end
 
 let apply_delta t ~rel ~tuple ~add =
@@ -1189,7 +1181,7 @@ let apply_delta t ~rel ~tuple ~add =
   | Some m ->
       let out_events = ref [] in
       List.iter
-        (fun ((atom : Cq.atom), base_rel) ->
+        (fun ((atom : Cq.atom), base_leaf) ->
           if atom.Cq.rel = rel then begin
             if Tuple.arity tuple <> List.length atom.Cq.vars then
               failwith
@@ -1199,13 +1191,8 @@ let apply_delta t ~rel ~tuple ~add =
                    (List.length atom.Cq.vars)
                    rel);
             let changed =
-              if add then
-                if Relation.mem base_rel tuple then false
-                else begin
-                  Relation.add base_rel tuple;
-                  true
-                end
-              else Relation.remove base_rel tuple
+              if add then leaf_add base_leaf tuple
+              else leaf_remove base_leaf tuple
             in
             if changed then begin
               let levs = ref [] in

@@ -94,8 +94,6 @@ val run_plan : ?cap:int -> into:Relation.t -> step list -> Relation.t -> unit
     [cap] — exactly when that step's materialized join would.  Rows
     emitted before the abort stay in [into]. *)
 
-val rule : t -> Rule.t
-
 (** {1 Incremental maintenance}
 
     A freshly built structure keeps its maintenance state: the live base
@@ -104,9 +102,30 @@ val rule : t -> Rule.t
     tree — re-classifying exactly the keys whose degree crossed the
     build-time threshold — and patches each affected subproblem in
     place: delegated plans get their step indexes updated, stored
-    subproblems get a pinned delta join (inserts) or a last-witness
-    check (deletes) against the combo's leaves.  Structures loaded from
-    a snapshot are static replicas: they answer but do not maintain. *)
+    subproblems a {!pinned_search} from the tuple (inserts) or an
+    existence search per candidate row (deletes, last witness) over the
+    combo's leaves.  Structures loaded from a snapshot are static
+    replicas: they answer but do not maintain. *)
+
+type leaf
+(** A live relation plus the indexes searches have probed it with (one
+    per bound-variable set), built on first use, patched in place. *)
+
+val leaf : Relation.t -> leaf
+val leaf_add : leaf -> Tuple.t -> bool
+val leaf_remove : leaf -> Tuple.t -> bool
+(** Mutate relation and indexes; [false] if already present (absent). *)
+
+val pinned_search :
+  ?limit:int -> leaf list -> pin:Schema.var list * Tuple.t ->
+  keep:Schema.var list -> Relation.t option
+(** The join of the leaves under the binding [pin], projected onto [keep]
+    (schema in [keep] order), by a depth-first search through the leaf
+    with the fewest index matches at each level that stops at the first
+    witness once [keep] is bound ([keep = []]: the existence check).
+    [None] exactly when the result exceeds [limit] rows.  Charges a probe
+    per count or membership test and a scan per visited index row.
+    Raises [Invalid_argument] if a [keep] variable is in no leaf or pin. *)
 
 val supports_maintenance : t -> bool
 (** [true] for built structures, [false] for {!import}ed ones. *)
@@ -127,9 +146,9 @@ val base_mem : t -> rel:string -> Tuple.t -> bool
 (** Is the tuple in the base relation of some atom named [rel]?  Always
     [false] on static replicas. *)
 
-val base_relations : t -> (Cq.atom * Relation.t) list
-(** The live base relation per atom (empty on static replicas).  Treat
-    as read-only; mutate only through {!apply_delta}. *)
+val base_leaves : t -> (Cq.atom * leaf) list
+(** The live base relation per atom (empty on static replicas).  Mutate
+    only through {!apply_delta}. *)
 
 val stored_mem : t -> Varset.t -> Tuple.t -> bool
 (** Is [row] (ascending-variable order) currently in this structure's

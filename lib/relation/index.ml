@@ -6,10 +6,11 @@
 
    Incremental maintenance works through a small mutable overlay on top
    of the frozen flat arrays: [extra] holds rows added since the last
-   compaction (grouped by key), [dead] marks flat rows deleted since.
-   Every read path keeps its zero-allocation fast path when the overlay
-   is empty; once the overlay outgrows a fraction of the flat storage it
-   is folded back into fresh flat arrays. *)
+   compaction (grouped by key), [dead] marks the flat rows deleted since,
+   one byte per row, so reads test deadness by row number.  Every read
+   path keeps its zero-allocation fast path when the overlay is empty;
+   once the overlay outgrows a fraction of the flat storage it is folded
+   back into fresh flat arrays. *)
 type t = {
   key_vars : Schema.var list;
   source_schema : Schema.t;
@@ -21,7 +22,8 @@ type t = {
   mutable space : int;
   (* ---- overlay (empty in the common, static case) ---- *)
   mutable extra : Tuple.t list Tuple.Tbl.t; (* key -> rows added since build *)
-  mutable dead : unit Tuple.Tbl.t;          (* flat rows deleted since build *)
+  mutable dead : Bytes.t;                   (* byte r <> 0: flat row r deleted (empty until a delete) *)
+  mutable n_dead : int;                     (* rows marked in [dead] *)
   mutable dead_per_key : int Tuple.Tbl.t;   (* key -> deleted flat rows under it *)
   mutable overlay_rows : int;               (* |extra rows| + |dead rows| *)
 }
@@ -63,7 +65,7 @@ let build rel key_vars =
       {
         key_vars; source_schema; arity; key_pos = pos; table; data;
         flat_rows = n; space = n;
-        extra = Tuple.Tbl.create 8; dead = Tuple.Tbl.create 8;
+        extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
         dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
       })
 
@@ -71,6 +73,16 @@ let key_vars t = t.key_vars
 let source_schema t = t.source_schema
 
 let row t i = Array.sub t.data (i * t.arity) t.arity
+
+let is_dead t r = t.n_dead > 0 && Bytes.unsafe_get t.dead r <> '\000'
+
+let set_dead t r v =
+  if Bytes.length t.dead = 0 then
+    (* of_buckets may leave rows outside every bucket *)
+    t.dead <-
+      Bytes.make (max t.flat_rows (Array.length t.data / max 1 t.arity)) '\000';
+  Bytes.set t.dead r (if v then '\001' else '\000');
+  t.n_dead <- (t.n_dead + if v then 1 else -1)
 
 (* fold the overlay back into fresh flat arrays; logical contents (and
    [space]) are unchanged, so snapshots and probes see the same rows *)
@@ -88,8 +100,7 @@ let compact t =
         Tuple.Tbl.iter
           (fun key (start, len) ->
             for i = 0 to len - 1 do
-              let r = row t (start + i) in
-              if not (Tuple.Tbl.mem t.dead r) then add_row key r
+              if not (is_dead t (start + i)) then add_row key (row t (start + i))
             done)
           t.table;
         Tuple.Tbl.iter
@@ -116,7 +127,8 @@ let compact t =
         t.data <- data;
         t.flat_rows <- n;
         t.extra <- Tuple.Tbl.create 8;
-        t.dead <- Tuple.Tbl.create 8;
+        t.dead <- Bytes.empty;
+        t.n_dead <- 0;
         t.dead_per_key <- Tuple.Tbl.create 8;
         t.overlay_rows <- 0)
 
@@ -124,26 +136,26 @@ let maybe_compact t =
   if t.overlay_rows > max 64 (t.flat_rows / 4) then compact t
 
 let dead_under t key =
-  if Tuple.Tbl.length t.dead = 0 then 0
+  if t.n_dead = 0 then 0
   else Option.value ~default:0 (Tuple.Tbl.find_opt t.dead_per_key key)
 
 let extra_under t key =
   match Tuple.Tbl.find_opt t.extra key with Some rows -> rows | None -> []
 
-(* does the frozen flat bucket contain a row equal to [tup] (dead or
-   alive)?  Buckets hold distinct rows, so at most one matches. *)
-let flat_mem t key tup =
+(* the flat row equal to [tup] (dead or alive), or -1.  Buckets hold
+   distinct rows, so at most one matches. *)
+let flat_row t key tup =
   match Tuple.Tbl.find_opt t.table key with
-  | None -> false
+  | None -> -1
   | Some (start, len) ->
       let rec go i =
-        if i >= len then false
+        if i >= len then -1
         else
           let base = (start + i) * t.arity in
           let rec eq k =
             k >= t.arity || (t.data.(base + k) = tup.(k) && eq (k + 1))
           in
-          if eq 0 then true else go (i + 1)
+          if eq 0 then start + i else go (i + 1)
       in
       go 0
 
@@ -161,10 +173,11 @@ let insert t tup =
   if Tuple.arity tup <> t.arity then invalid_arg "Index.insert: arity mismatch";
   Cost.charge_probe ();
   let key = Tuple.project t.key_pos tup in
-  if flat_mem t key tup then
-    if Tuple.Tbl.mem t.dead tup then begin
+  let r = flat_row t key tup in
+  if r >= 0 then
+    if is_dead t r then begin
       (* resurrect a previously deleted flat row in place *)
-      Tuple.Tbl.remove t.dead tup;
+      set_dead t r false;
       bump_dead t key (-1);
       t.overlay_rows <- t.overlay_rows - 1;
       t.space <- t.space + 1;
@@ -186,6 +199,7 @@ let remove t tup =
   if Tuple.arity tup <> t.arity then invalid_arg "Index.remove: arity mismatch";
   Cost.charge_probe ();
   let key = Tuple.project t.key_pos tup in
+  let r = flat_row t key tup in
   if extra_mem t key tup then begin
     (match
        List.filter (fun r -> not (Tuple.equal r tup)) (extra_under t key)
@@ -196,8 +210,8 @@ let remove t tup =
     t.space <- t.space - 1;
     true
   end
-  else if flat_mem t key tup && not (Tuple.Tbl.mem t.dead tup) then begin
-    Tuple.Tbl.add t.dead (Array.copy tup) ();
+  else if r >= 0 && not (is_dead t r) then begin
+    set_dead t r true;
     bump_dead t key 1;
     t.overlay_rows <- t.overlay_rows + 1;
     t.space <- t.space - 1;
@@ -208,30 +222,22 @@ let remove t tup =
 
 let probe t key =
   Cost.charge_probe ();
-  if t.overlay_rows = 0 then
-    match Tuple.Tbl.find_opt t.table key with
-    | None -> []
-    | Some (start, len) -> List.init len (fun i -> row t (start + i))
-  else
-    let flat =
-      match Tuple.Tbl.find_opt t.table key with
-      | None -> []
-      | Some (start, len) ->
-          List.filter
-            (fun r -> not (Tuple.Tbl.mem t.dead r))
-            (List.init len (fun i -> row t (start + i)))
-    in
-    flat @ extra_under t key
+  (match Tuple.Tbl.find_opt t.table key with
+  | None -> []
+  | Some (start, len) ->
+      List.filter_map
+        (fun r -> if is_dead t r then None else Some (row t r))
+        (List.init len (( + ) start)))
+  @ extra_under t key
 
 let probe_iter t key f =
   Cost.charge_probe ();
-  let no_dead = Tuple.Tbl.length t.dead = 0 in
   (match Tuple.Tbl.find_opt t.table key with
   | None -> ()
   | Some (start, len) ->
-      for i = 0 to len - 1 do
-        if no_dead || not (Tuple.Tbl.mem t.dead (row t (start + i))) then
-          f t.data ((start + i) * t.arity)
+      let no_dead = t.n_dead = 0 in
+      for r = start to start + len - 1 do
+        if no_dead || not (is_dead t r) then f t.data (r * t.arity)
       done);
   if t.overlay_rows > 0 then List.iter (fun r -> f r 0) (extra_under t key)
 
@@ -298,7 +304,7 @@ let of_buckets ~key_vars ~source_schema ~data ~buckets =
   {
     key_vars; source_schema; arity; key_pos; table; data;
     flat_rows = !space; space = !space;
-    extra = Tuple.Tbl.create 8; dead = Tuple.Tbl.create 8;
+    extra = Tuple.Tbl.create 8; dead = Bytes.empty; n_dead = 0;
     dead_per_key = Tuple.Tbl.create 8; overlay_rows = 0;
   }
 
@@ -337,7 +343,7 @@ let join rel t =
   let out = Relation.create out_schema in
   let ra = Schema.arity rel_schema in
   let scratch = Array.make (Array.length key_pos) 0 in
-  let no_dead = Tuple.Tbl.length t.dead = 0 in
+  let no_dead = t.n_dead = 0 in
   Relation.iter
     (fun tup ->
       Cost.charge_scan ();
@@ -356,9 +362,8 @@ let join rel t =
       (match Tuple.Tbl.find_opt t.table scratch with
       | None -> ()
       | Some (start, len) ->
-          for i = 0 to len - 1 do
-            if no_dead || not (Tuple.Tbl.mem t.dead (row t (start + i))) then
-              emit t.data ((start + i) * t.arity)
+          for r = start to start + len - 1 do
+            if no_dead || not (is_dead t r) then emit t.data (r * t.arity)
           done);
       if t.overlay_rows > 0 then
         List.iter (fun r -> emit r 0) (extra_under t scratch))

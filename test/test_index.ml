@@ -128,6 +128,107 @@ let test_build_charges_nothing () =
   Alcotest.check Alcotest.int "building is preprocessing (free online)" 0
     (Cost.total snap)
 
+(* ---- the mutable overlay vs a reference relation ---- *)
+
+(* Seeded random runs of inserts, removes and resurrections (re-inserting
+   a removed row, which revives a dead flat row in place when the row
+   was flat) against a plain [Relation] holding the same set.  The fresh
+   inserts grow the overlay past its compaction threshold several times
+   per run.  After every step each read path must agree with the
+   reference, on every key in play. *)
+let test_overlay_differential () =
+  let src = [ 0; 1; 2 ] in
+  for seed = 1 to 24 do
+    let st = Random.State.make [| seed |] in
+    let int n = Random.State.int st n in
+    let rand_row () = [| int 5; int 5; int 40 |] in
+    let key_vars =
+      match seed mod 4 with 0 -> [ 1 ] | 1 -> [ 2; 0 ] | 2 -> [] | _ -> [ 0; 1 ]
+    in
+    let kpos = Schema.positions (schema src) key_vars in
+    let reference = rel src (List.init (int 120) (fun _ -> rand_row ())) in
+    let idx = Index.build reference key_vars in
+    let removed = ref [] in
+    let check step =
+      let what name = Printf.sprintf "seed %d step %d: %s" seed step name in
+      Alcotest.(check int) (what "space") (Relation.cardinal reference)
+        (Index.space idx);
+      (* the reference bucket of every key in play *)
+      let buckets = Tuple.Tbl.create 64 in
+      List.iter
+        (fun r -> Tuple.Tbl.replace buckets (Tuple.project kpos r) [])
+        (rand_row () :: !removed);
+      Relation.iter
+        (fun r ->
+          let key = Tuple.project kpos r in
+          let rows = Option.value ~default:[] (Tuple.Tbl.find_opt buckets key) in
+          Tuple.Tbl.replace buckets key (Array.to_list r :: rows))
+        reference;
+      Tuple.Tbl.iter
+        (fun key rows ->
+          let expect = List.sort compare rows in
+          (* plain comparisons: this loop runs millions of times *)
+          let agree name ok = if not ok then Alcotest.fail (what name) in
+          agree "probe" (sorted_tuples (Index.probe idx key) = expect);
+          let iterated = ref [] in
+          Index.probe_iter idx key (fun a base ->
+              iterated := Array.sub a base 3 :: !iterated);
+          agree "probe_iter" (sorted_tuples !iterated = expect);
+          agree "probe_mem" (Index.probe_mem idx key = (expect <> []));
+          agree "count" (Index.count idx key = List.length expect))
+        buckets;
+      (* a probe side sharing exactly the key variables, plus var 9 *)
+      let probe_side =
+        rel (key_vars @ [ 9 ])
+          (List.init 8 (fun i ->
+               Array.append
+                 (Tuple.project kpos (rand_row ()))
+                 [| i |]))
+      in
+      Alcotest.(check bool) (what "semijoin") true
+        (Relation.equal
+           (Relation.semijoin probe_side reference)
+           (Index.semijoin probe_side idx));
+      Alcotest.(check bool) (what "join") true
+        (Relation.equal
+           (Relation.natural_join probe_side reference)
+           (Index.join probe_side idx))
+    in
+    check 0;
+    for step = 1 to 300 do
+      (match int 10 with
+      | 0 | 1 | 2 | 3 | 4 ->
+          (* insert: usually fresh, sometimes already present *)
+          let r = rand_row () in
+          let fresh = not (Relation.mem reference r) in
+          Relation.add reference r;
+          Alcotest.(check bool) "insert result" fresh (Index.insert idx r)
+      | 5 | 6 | 7 -> (
+          (* remove a present row, or occasionally an absent one *)
+          match Relation.to_list reference with
+          | rows when rows <> [] && int 8 > 0 ->
+              let r = List.nth rows (int (List.length rows)) in
+              ignore (Relation.remove reference r);
+              removed := r :: !removed;
+              Alcotest.(check bool) "remove present" true (Index.remove idx r)
+          | _ ->
+              let r = rand_row () in
+              let present = Relation.remove reference r in
+              Alcotest.(check bool) "remove result" present (Index.remove idx r))
+      | _ -> (
+          (* resurrect a removed row *)
+          match !removed with
+          | [] -> ()
+          | rows ->
+              let r = List.nth rows (int (List.length rows)) in
+              let fresh = not (Relation.mem reference r) in
+              Relation.add reference r;
+              Alcotest.(check bool) "resurrect result" fresh
+                (Index.insert idx r)));
+      check step
+    done
+  done
+
 let () =
   Alcotest.run "index"
     [
@@ -142,5 +243,7 @@ let () =
           Alcotest.test_case "empty relation" `Quick test_empty_relation;
           Alcotest.test_case "build charges nothing" `Quick
             test_build_charges_nothing;
+          Alcotest.test_case "overlay differential" `Quick
+            test_overlay_differential;
         ] );
     ]

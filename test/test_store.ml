@@ -71,6 +71,24 @@ let crc_known_vector () =
   let t = Crc32.update t "6789xxx" ~pos:0 ~len:4 in
   Alcotest.(check int) "incremental" 0xCBF43926 (Crc32.finish t)
 
+(* two domains checksumming at once, released together: the first CRC
+   of the process is computed concurrently, which a lazily built table
+   turns into [CamlinternalLazy.Undefined] *)
+let crc_two_domains () =
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.init 200 (fun _ -> Crc32.string "123456789")
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (fun crcs ->
+      List.iter (Alcotest.(check int) "123456789" 0xCBF43926) crcs)
+    [ Domain.join d1; Domain.join d2 ]
+
 (* ------------------------------------------------------------------ *)
 (* container                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -354,6 +372,8 @@ let () =
     [
       ( "codec",
         [
+          (* first: no other case may compute a CRC before it *)
+          Alcotest.test_case "crc32 from two domains" `Quick crc_two_domains;
           Alcotest.test_case "int round trips" `Quick roundtrip_ints;
           Alcotest.test_case "row blocks round trip" `Quick roundtrip_rows;
           Alcotest.test_case "decoder rejects bad input" `Quick decoder_rejects;

@@ -253,6 +253,124 @@ let test_pipelined_vs_reference () =
   check_le "multi-tuple q_a covered" 51 !multi;
   check_le "overlays covered" 51 !overlays
 
+(* ---- the pinned search vs Db.join_greedy and brute force ---- *)
+
+(* every total binding satisfying all relations, by nested loops *)
+let brute_bindings rels =
+  List.fold_left
+    (fun binds r ->
+      let vars = Schema.vars (Relation.schema r) in
+      List.concat_map
+        (fun b ->
+          Relation.fold
+            (fun tup acc ->
+              let ok =
+                List.for_all2
+                  (fun v x ->
+                    match List.assoc_opt v b with Some y -> x = y | None -> true)
+                  vars (Array.to_list tup)
+              in
+              if ok then
+                (List.filter (fun (v, _) -> not (List.mem_assoc v b))
+                   (List.combine vars (Array.to_list tup))
+                @ b)
+                :: acc
+              else acc)
+            r [])
+        binds)
+    [ [] ] rels
+
+(* Random leaves over variables 0..6: several share variables (two may
+   have the same variable set), and about half the cases add a leaf
+   disconnected from everything else.  The pin is a single tuple over a
+   random variable set; [keep] is a random subset of the covered
+   variables, sometimes empty (the existence check).  Each case runs
+   twice: once on fresh leaves, once after inserts and removes have
+   patched the indexes the first run built. *)
+let test_pinned_search () =
+  let st = Random.State.make [| 29 |] in
+  let int n = Random.State.int st n in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let take k l = List.filteri (fun i _ -> i < k) l in
+  let nonempty = ref 0 and overflow = ref 0 and disconnected = ref 0
+  and exists_checked = ref 0 in
+  for _ = 1 to 300 do
+    let dom = 2 + int 3 in
+    let rand_rows vars k =
+      List.init k (fun _ -> Array.init (List.length vars) (fun _ -> int dom))
+    in
+    let pvars = take (1 + int 2) (shuffle [ 0; 1; 2; 3 ]) in
+    let ptup = Array.init (List.length pvars) (fun _ -> int dom) in
+    let schemas =
+      List.init (1 + int 3) (fun _ -> take (1 + int 3) (shuffle [ 0; 1; 2; 3; 4 ]))
+    in
+    let schemas =
+      if int 2 = 0 then begin
+        incr disconnected;
+        schemas @ [ shuffle (take (1 + int 2) [ 5; 6 ]) ]
+      end
+      else schemas
+    in
+    let rels =
+      List.map
+        (fun vars ->
+          Relation.of_list (Schema.of_list vars) (rand_rows vars (int 25)))
+        schemas
+    in
+    let leaves = List.map Twopp.leaf rels in
+    let covered = List.sort_uniq compare (pvars @ List.concat schemas) in
+    let keep = shuffle (List.filter (fun _ -> int 3 = 0) covered) in
+    let single = Relation.singleton (Schema.of_list pvars) ptup in
+    let run_checks () =
+      let expect = Db.join_greedy (single :: rels) ~keep in
+      let got =
+        match Twopp.pinned_search leaves ~pin:(pvars, ptup) ~keep with
+        | Some r -> r
+        | None -> Alcotest.fail "unlimited search returned None"
+      in
+      Alcotest.check Alcotest.bool "enumerate = join_greedy" true
+        (Relation.equal expect got);
+      if not (Relation.is_empty got) then incr nonempty;
+      (* the existence check against brute force *)
+      let brute = brute_bindings (single :: rels) <> [] in
+      let found =
+        match Twopp.pinned_search leaves ~pin:(pvars, ptup) ~keep:[] with
+        | Some r -> not (Relation.is_empty r)
+        | None -> Alcotest.fail "existence check returned None"
+      in
+      incr exists_checked;
+      Alcotest.check Alcotest.bool "exists = brute force" brute found;
+      (* the limited mode gives up only past the limit *)
+      let limit = int 6 in
+      match Twopp.pinned_search ~limit leaves ~pin:(pvars, ptup) ~keep with
+      | None ->
+          incr overflow;
+          Alcotest.check Alcotest.bool "None only past the limit" true
+            (Relation.cardinal expect > limit)
+      | Some r ->
+          Alcotest.check Alcotest.bool "limited = full" true
+            (Relation.equal expect r)
+    in
+    run_checks ();
+    (* patch the indexes built above, then search again *)
+    List.iter2
+      (fun l vars ->
+        List.iter (fun r -> ignore (Twopp.leaf_add l r)) (rand_rows vars (int 6));
+        List.iter
+          (fun r -> ignore (Twopp.leaf_remove l r))
+          (rand_rows vars (int 6)))
+      leaves schemas;
+    run_checks ()
+  done;
+  let check_le what a b = Alcotest.check Alcotest.bool what true (a <= b) in
+  check_le "non-empty results covered" 60 !nonempty;
+  check_le "limit overflows covered" 30 !overflow;
+  check_le "disconnected leaves covered" 60 !disconnected;
+  check_le "existence checks" 600 !exists_checked
+
 let () =
   Alcotest.run "twopp"
     [
@@ -268,5 +386,7 @@ let () =
           Alcotest.test_case "impossible rule" `Quick test_impossible_rule;
           Alcotest.test_case "pipelined executor = reference" `Quick
             test_pipelined_vs_reference;
+          Alcotest.test_case "pinned search = join_greedy" `Quick
+            test_pinned_search;
         ] );
     ]
